@@ -262,15 +262,14 @@ func setup(cfg buildConfig, sopts pitex.ServeOptions, logf func(string, ...any))
 		if err != nil {
 			return nil, err
 		}
-		if got := client.Strategy(); got != strategy.String() {
-			return nil, fmt.Errorf("shard servers run strategy %s, coordinator asked for %s", got, strategy)
-		}
 		en, err := pitex.NewRemoteEngine(net, model, opts, client)
 		if err != nil {
+			client.Close()
 			return nil, err
 		}
 		srv, err := serve.NewCoordinator(en, client, sopts)
 		if err != nil {
+			client.Close()
 			return nil, err
 		}
 		eff := sopts.WithDefaults()

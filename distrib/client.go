@@ -267,7 +267,8 @@ func (g *group) hedgeDelay(o Options) time.Duration {
 }
 
 // Client is the coordinator-side handle on a shard-server fleet. It
-// implements pitex.RemoteEstimator and is safe for concurrent use.
+// implements pitex.RemoteEstimator and pitex.RemoteFrontierEstimator and
+// is safe for concurrent use.
 type Client struct {
 	opts   Options
 	http   *http.Client
@@ -659,6 +660,29 @@ func (c *Client) totalUsers() int {
 	return int(u)
 }
 
+// groupReply is one group's raw answer to a scatter.
+type groupReply struct {
+	data []byte
+	err  error
+}
+
+// scatter runs one hedged fetch against every group in parallel;
+// replies[i] is group i's.
+func (c *Client) scatter(ctx context.Context, method, path string, body []byte) []groupReply {
+	replies := make([]groupReply, len(c.groups))
+	var wg sync.WaitGroup
+	for i, g := range c.groups {
+		wg.Add(1)
+		go func(i int, g *group) {
+			defer wg.Done()
+			data, err := c.fetchGroup(ctx, g, method, path, body)
+			replies[i] = groupReply{data, err}
+		}(i, g)
+	}
+	wg.Wait()
+	return replies
+}
+
 // EstimateRemote implements pitex.RemoteEstimator: scatter the probe to
 // every group, gather the partials. With every group responding the
 // result is byte-identical to the in-process sharded estimator
@@ -675,21 +699,7 @@ func (c *Client) EstimateRemote(ctx context.Context, user int, probe pitex.Remot
 	c.scatters.Inc()
 	ssp, ctx := obsv.StartSpan(ctx, "scatter")
 	ssp.SetAttr("groups", len(c.groups))
-	type groupResult struct {
-		data []byte
-		err  error
-	}
-	results := make([]groupResult, len(c.groups))
-	var wg sync.WaitGroup
-	for i, g := range c.groups {
-		wg.Add(1)
-		go func(i int, g *group) {
-			defer wg.Done()
-			data, err := c.fetchGroup(ctx, g, http.MethodPost, "/shard/estimate", body)
-			results[i] = groupResult{data, err}
-		}(i, g)
-	}
-	wg.Wait()
+	replies := c.scatter(ctx, http.MethodPost, "/shard/estimate", body)
 	ssp.End()
 
 	gsp, _ := obsv.StartSpan(ctx, "gather")
@@ -697,7 +707,7 @@ func (c *Client) EstimateRemote(ctx context.Context, user int, probe pitex.Remot
 	var partials []rrindex.Partial
 	var missing []int
 	var firstErr error
-	for i, r := range results {
+	for i, r := range replies {
 		if r.err == nil {
 			var resp EstimateResponse
 			if e := json.Unmarshal(r.data, &resp); e != nil {
@@ -736,31 +746,119 @@ func (c *Client) EstimateRemote(ctx context.Context, user int, probe pitex.Remot
 	}, nil
 }
 
+// EstimateRemoteFrontier implements pitex.RemoteFrontierEstimator: one
+// POST /shard/estimate-frontier per group carries every sibling
+// posterior and the stop rule, and each server answers with
+// rrindex.PartialFrontier rows for its shards. With every group
+// responding the rows fold through rrindex.GatherFrontierPartials —
+// byte-identical to the in-process sharded frontier estimation; with
+// groups missing each sibling's column folds through
+// rrindex.GatherPartialsDegraded. Each estimate's EarlyStops counts its
+// shard rows that came back Stopped. It fails outright only when no
+// shard at all responded.
+func (c *Client) EstimateRemoteFrontier(ctx context.Context, user int, posteriors [][]float64, stop pitex.RemoteStopRule) ([]pitex.RemoteEstimate, error) {
+	if len(posteriors) == 0 {
+		return nil, nil
+	}
+	psp, _ := obsv.StartSpan(ctx, "probe-marshal")
+	body, err := json.Marshal(FrontierRequest{
+		User: user, Generation: c.generation.Load(), Posteriors: posteriors, Stop: stop,
+	})
+	psp.End()
+	if err != nil {
+		return nil, err
+	}
+	c.scatters.Inc()
+	ssp, ctx := obsv.StartSpan(ctx, "scatter")
+	ssp.SetAttr("groups", len(c.groups))
+	ssp.SetAttr("width", len(posteriors))
+	replies := c.scatter(ctx, http.MethodPost, "/shard/estimate-frontier", body)
+	ssp.End()
+
+	gsp, _ := obsv.StartSpan(ctx, "gather")
+	defer gsp.End()
+	width := len(posteriors)
+	// rows[s] is shard s's row set; present lists the responding shards
+	// ascending — the gather order the in-process estimators use.
+	rows := make([][]rrindex.Partial, c.totalShards)
+	var missing []int
+	var firstErr error
+	for i, r := range replies {
+		g := c.groups[i]
+		if r.err == nil {
+			var resp FrontierResponse
+			if r.err = json.Unmarshal(r.data, &resp); r.err == nil {
+				r.err = checkRows(resp.Rows, g.shards, width)
+			}
+			if r.err == nil {
+				for j, s := range g.shards {
+					rows[s] = resp.Rows[j]
+					c.noteShard(resp.Rows[j][0])
+				}
+				continue
+			}
+		}
+		if firstErr == nil {
+			firstErr = r.err
+		}
+		missing = append(missing, g.shards...)
+	}
+	present := make([][]rrindex.Partial, 0, len(rows))
+	for _, set := range rows {
+		if set != nil {
+			present = append(present, set)
+		}
+	}
+	if len(present) == 0 {
+		return nil, fmt.Errorf("distrib: no shard responded: %w", firstErr)
+	}
+	out := make([]pitex.RemoteEstimate, width)
+	if len(missing) == 0 {
+		for i, r := range rrindex.GatherFrontierPartials(present) {
+			out[i] = pitex.RemoteEstimate{
+				Influence: r.Influence, Samples: r.Samples, Theta: r.Theta, Reachable: r.Reachable,
+				RespondingTheta: r.Theta, TotalTheta: r.Theta,
+			}
+		}
+	} else {
+		c.degraded.Inc()
+		slices.Sort(missing)
+		gsp.SetAttr("degraded", true)
+		gsp.SetAttr("missing_shards", missing)
+		totalUsers, totalTheta := c.totalUsers(), c.totalTheta()
+		col := make([]rrindex.Partial, len(present))
+		for i := range out {
+			for j, set := range present {
+				col[j] = set[i]
+			}
+			r := rrindex.GatherPartialsDegraded(col, totalUsers)
+			out[i] = pitex.RemoteEstimate{
+				Influence: r.Influence, Samples: r.Samples, Theta: r.Theta, Reachable: r.Reachable,
+				MissingShards: missing, RespondingTheta: r.Theta, TotalTheta: totalTheta,
+			}
+		}
+	}
+	for i := range out {
+		for _, set := range present {
+			if set[i].Stopped {
+				out[i].EarlyStops++
+			}
+		}
+	}
+	return out, nil
+}
+
 // Counters scatters a counter lookup (RR-Graph containment counts, or
 // DelayMat counters under DELAYEST) and returns the summed count plus the
 // shards that did not respond.
 func (c *Client) Counters(ctx context.Context, user int) (int64, []int, error) {
 	path := fmt.Sprintf("/shard/counters?user=%d&generation=%d", user, c.generation.Load())
-	type groupResult struct {
-		data []byte
-		err  error
-	}
-	results := make([]groupResult, len(c.groups))
-	var wg sync.WaitGroup
-	for i, g := range c.groups {
-		wg.Add(1)
-		go func(i int, g *group) {
-			defer wg.Done()
-			data, err := c.fetchGroup(ctx, g, http.MethodGet, path, nil)
-			results[i] = groupResult{data, err}
-		}(i, g)
-	}
-	wg.Wait()
+	replies := c.scatter(ctx, http.MethodGet, path, nil)
 	var total int64
 	var missing []int
 	var firstErr error
 	responded := false
-	for i, r := range results {
+	for i, r := range replies {
 		var resp CountersResponse
 		if r.err == nil {
 			r.err = json.Unmarshal(r.data, &resp)

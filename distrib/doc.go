@@ -5,12 +5,20 @@
 //
 // Topology: shard servers are arranged in replica groups — the endpoints
 // of one group all serve the same shard set, and the groups together
-// partition [0, S). One query scatters a serialized edge prober
-// (pitex.RemoteProbe) to every group, each server answers with its
-// shards' partial hits plus the θ_s/|V_s| gather metadata, and the
-// client folds them with rrindex.GatherPartials: with every group
-// responding, the estimate is bit-for-bit the in-process
-// ShardedEstimator's.
+// partition [0, S). The client implements pitex.RemoteFrontierEstimator:
+// each best-first frontier expansion sends one FrontierRequest (every
+// sibling posterior plus the explorer's stop rule) to every group as
+// POST /shard/estimate-frontier. Each server answers with its shards'
+// rrindex.PartialFrontier rows — partial hits plus the θ_s/|V_s| gather
+// metadata, early-stopped rows carrying their extrapolated hits — from a
+// per-generation pool of reused estimators. The client checks the rows'
+// shape (checkRows) and folds them with rrindex.GatherFrontierPartials:
+// with every group responding, each sibling's estimate is bit-for-bit
+// the in-process sharded estimator's under the same stop rule. The
+// single-prober path (pitex.RemoteEstimator, POST /shard/estimate,
+// rrindex.GatherPartials) remains for the sampled upper bounds of
+// non-CheapBounds exploration and for wrappers that do not forward the
+// frontier capability.
 //
 // Robustness: every group fetch runs under a per-shard deadline; after
 // an adaptive hedge delay (a latency-window quantile, clamped to the
@@ -19,8 +27,10 @@
 // cooldowns so a dead replica stops being tried first. When a whole
 // group misses the deadline, the gather degrades instead of failing:
 // rrindex.GatherPartialsDegraded extrapolates over the responding
-// shards' |V_s| and the answer carries the missing shard list and the
-// achieved (weakened) ε — degraded but honest, never silently wrong.
+// shards' |V_s| (per sibling, for frontier scatters) and the answer
+// carries the missing shard list and the achieved (weakened) ε —
+// degraded but honest, never silently wrong. A reply that fails to
+// decode or to pass the row-shape check counts as a missing group.
 //
 // Updates ride the repair-routing delta path: the coordinator applies a
 // batch locally (graph only), fans the same batch to every endpoint

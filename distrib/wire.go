@@ -29,6 +29,60 @@ type EstimateResponse struct {
 	Partials   []rrindex.Partial `json:"partials"`
 }
 
+// FrontierRequest is POST /shard/estimate-frontier: every sibling tag
+// set of one best-first expansion for one user, as posterior rows
+// (Posteriors[i] is sibling i's p(z|W)), plus the batch's stop rule.
+// Generation pins the index generation exactly as in EstimateRequest.
+type FrontierRequest struct {
+	User       int                  `json:"user"`
+	Generation uint64               `json:"generation"`
+	Posteriors [][]float64          `json:"posteriors"`
+	Stop       pitex.RemoteStopRule `json:"stop"`
+}
+
+// Validate checks the request's shape against a model of numTopics
+// topics: at least one posterior row, each exactly numTopics long.
+func (r FrontierRequest) Validate(numTopics int) error {
+	if len(r.Posteriors) == 0 {
+		return fmt.Errorf("distrib: empty frontier")
+	}
+	for i, p := range r.Posteriors {
+		if len(p) != numTopics {
+			return fmt.Errorf("distrib: posterior %d has %d entries, model has %d topics", i, len(p), numTopics)
+		}
+	}
+	return nil
+}
+
+// FrontierResponse answers a FrontierRequest: Rows[j] is the j-th owned
+// shard's row set (shards ascending), holding one Partial per posterior
+// in request order (rrindex.PartialFrontier's output).
+type FrontierResponse struct {
+	Generation uint64              `json:"generation"`
+	Rows       [][]rrindex.Partial `json:"rows"`
+}
+
+// checkRows validates a group's FrontierResponse rows before they reach
+// the gather: exactly one row set per shard the group serves, in the
+// group's ascending shard order, each holding width rows stamped with
+// that shard's id. A reply failing it counts its shards missing.
+func checkRows(rows [][]rrindex.Partial, shards []int, width int) error {
+	if len(rows) != len(shards) {
+		return fmt.Errorf("distrib: %d frontier row sets for %d shards", len(rows), len(shards))
+	}
+	for j, set := range rows {
+		if len(set) != width {
+			return fmt.Errorf("distrib: shard %d sent %d frontier rows for %d siblings", shards[j], len(set), width)
+		}
+		for _, p := range set {
+			if p.Shard != shards[j] {
+				return fmt.Errorf("distrib: row for shard %d in shard %d's set", p.Shard, shards[j])
+			}
+		}
+	}
+	return nil
+}
+
 // ShardInfo describes one owned shard in an InfoResponse.
 type ShardInfo struct {
 	Shard  int   `json:"shard"`

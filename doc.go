@@ -156,7 +156,10 @@
 // in-process sharded engine at the same seeds. RemoteProbe serializes
 // both remotable probers (posterior tag sets and the best-effort
 // partial-set bound), and RemoteEstimator is the narrow interface a
-// transport must satisfy.
+// transport must satisfy. A transport that also implements
+// RemoteFrontierEstimator receives each best-first expansion's sibling
+// posteriors and stop rule as one batch, so sequential stopping runs on
+// the shards and a query costs one scatter per frontier expansion.
 //
 // Robustness: scatters carry per-shard deadlines with context
 // propagation; replicas within a shard group are hedged after the

@@ -213,7 +213,7 @@ func (en *Engine) samplingOptions(logSearchSpace float64) sampling.Options {
 // newEstimator instantiates the per-engine (non-shared) estimator state.
 func (en *Engine) newEstimator() bestfirst.Estimator {
 	if en.remote != nil {
-		return &remoteAdapter{en: en, remote: en.remote}
+		return newRemoteAdapter(en, en.remote)
 	}
 	// Best-effort exploration examines up to φ_k tag sets; the paper's
 	// Eq. 12 uses ln φ_k in the union bound. We use ln φ_MaxK, valid for
@@ -474,7 +474,8 @@ func (en *Engine) query(ctx context.Context, user int, prefix []int, k, m int) (
 	// Estimator work counters are cumulative; diff lifetime snapshots
 	// around the query to attribute its cost. Both interfaces are
 	// optional — index estimators expose WorkStats, online samplers only
-	// an edge-visit count, remote adapters neither.
+	// an edge-visit count, remote adapters WorkStats carrying only the
+	// shards' early stops.
 	wsEst, _ := en.est.(interface{ WorkStats() sampling.WorkStats })
 	evEst, _ := en.est.(interface{ EdgeVisits() int64 })
 	var wsBefore sampling.WorkStats

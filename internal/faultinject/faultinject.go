@@ -40,8 +40,8 @@ const (
 	// PointUpdateFanout guards each per-endpoint delivery of the
 	// coordinator's update fan-out.
 	PointUpdateFanout = "distrib/update"
-	// PointShardEstimate guards the shard server's /shard/estimate
-	// handler (server side).
+	// PointShardEstimate guards the shard server's /shard/estimate and
+	// /shard/estimate-frontier handlers (server side).
 	PointShardEstimate = "serve/shard/estimate"
 	// PointShardUpdate guards the shard server's /shard/update handler.
 	PointShardUpdate = "serve/shard/update"

@@ -177,13 +177,17 @@ type PrunedEstimator struct {
 	idx *Index
 	// Policy selects the cut construction; change it before the first
 	// estimate for a given user (cut indexes are cached per user).
-	Policy  CutPolicy
-	probe   *sampling.ProbeCache
-	cuts    map[graph.VertexID]*userCuts
-	cutSc   cutScratch
-	visited []int64
-	dfs     []int32
-	stamp   int64
+	Policy CutPolicy
+	probe  *sampling.ProbeCache
+	cuts   map[graph.VertexID]*userCuts
+	// cutOrder lists cached users oldest first (kept only when cutLimit
+	// > 0); the oldest is evicted once the cache holds cutLimit users.
+	cutOrder []graph.VertexID
+	cutLimit int
+	cutSc    cutScratch
+	visited  []int64
+	dfs      []int32
+	stamp    int64
 	// candStamp deduplicates candidate positions during filtering;
 	// candSlot maps a deduplicated position to its index in cands (the
 	// frontier batch path keeps per-candidate sibling masks there).
@@ -212,6 +216,30 @@ func NewPrunedEstimator(idx *Index) *PrunedEstimator {
 	}
 }
 
+// SetCutCacheLimit bounds the per-user cut cache to n users, evicting
+// the oldest first; n ≤ 0 (the default) keeps every user's cuts. Cuts
+// are a pure function of (index, user, policy), so eviction only costs a
+// rebuild on the next estimate for that user, never a different answer.
+// Long-lived estimators serving many users (shard servers) set it.
+func (pe *PrunedEstimator) SetCutCacheLimit(n int) { pe.cutLimit = n }
+
+// userCutsFor returns u's cut index, building and caching it on a miss.
+func (pe *PrunedEstimator) userCutsFor(u graph.VertexID) *userCuts {
+	if uc, ok := pe.cuts[u]; ok {
+		return uc
+	}
+	if pe.cutLimit > 0 {
+		if len(pe.cutOrder) >= pe.cutLimit {
+			delete(pe.cuts, pe.cutOrder[0])
+			pe.cutOrder = append(pe.cutOrder[:0], pe.cutOrder[1:]...)
+		}
+		pe.cutOrder = append(pe.cutOrder, u)
+	}
+	uc := buildUserCuts(pe.idx, u, pe.Policy, &pe.cutSc)
+	pe.cuts[u] = uc
+	return uc
+}
+
 // GraphsChecked returns the cumulative number of RR-Graphs verified.
 func (pe *PrunedEstimator) GraphsChecked() int64 { return pe.graphsChecked }
 
@@ -228,11 +256,7 @@ func (pe *PrunedEstimator) GraphsPruned() int64 { return pe.graphsPruned }
 func (pe *PrunedEstimator) hitsProber(u graph.VertexID, prober sampling.EdgeProber) (hits, samples int64, contained int) {
 	idx := pe.idx
 	prober = pe.probe.Begin(prober)
-	uc, ok := pe.cuts[u]
-	if !ok {
-		uc = buildUserCuts(idx, u, pe.Policy, &pe.cutSc)
-		pe.cuts[u] = uc
-	}
+	uc := pe.userCutsFor(u)
 	containing := idx.containing[u]
 	if len(pe.candStamp) < len(containing) {
 		pe.candStamp = make([]int64, len(containing))

@@ -392,7 +392,9 @@ func GatherFrontierPartials(parts [][]Partial) []sampling.Result {
 // |V| / |V_responding| (the responding shards' estimate of the mean
 // per-user coverage, applied to every user). totalUsers is the cluster's
 // full |V|. Theta reports Σ θ_s over RESPONDING shards only, so callers
-// can derive the achieved (weakened) ε from it.
+// can derive the achieved (weakened) ε from it. Early-stopped rows
+// contribute their extrapolated hit counts, as in GatherFrontierPartials,
+// so it also folds one sibling's column of a degraded frontier gather.
 func GatherPartialsDegraded(parts []Partial, totalUsers int) sampling.Result {
 	sortPartials(parts)
 	var inf float64
@@ -404,7 +406,7 @@ func GatherPartialsDegraded(parts []Partial, totalUsers int) sampling.Result {
 		contained += p.Contained
 		respUsers += p.Users
 		if p.Theta > 0 {
-			inf += float64(p.Hits) / float64(p.Theta) * float64(p.Users)
+			inf += p.effectiveHits() / float64(p.Theta) * float64(p.Users)
 		}
 	}
 	if respUsers > 0 && totalUsers > respUsers {

@@ -179,6 +179,58 @@ func TestGatherPartialsDegraded(t *testing.T) {
 	}
 }
 
+// TestGatherPartialsDegradedStoppedRow: an early-stopped row in a
+// degraded gather (one shard missing) must contribute its extrapolated
+// EstHits, exactly as GatherFrontierPartials would, not its truncated
+// exact Hits.
+func TestGatherPartialsDegradedStoppedRow(t *testing.T) {
+	parts := []Partial{
+		{Shard: 0, Hits: 10, Samples: 20, Contained: 25, Theta: 1000, Users: 100},
+		// Stopped after 12 of 40 verdicts with 3 hits: (3/12)·40 = 10.
+		{Shard: 2, Hits: 3, Samples: 12, Contained: 40, Theta: 2000, Users: 150, EstHits: 10, Stopped: true},
+	}
+	// Shard 1 (50 users) is missing; the cluster has 300 users.
+	got := GatherPartialsDegraded(append([]Partial(nil), parts...), 300)
+	want := (10.0/1000.0*100.0 + 10.0/2000.0*150.0) * 300.0 / 250.0
+	if got.Influence != want {
+		t.Fatalf("degraded influence = %v, want %v (stopped row must use EstHits)", got.Influence, want)
+	}
+
+	// With the missing shard present, the degraded fold of one column
+	// equals the frontier gather of that sibling bit for bit.
+	full := []Partial{parts[0], {Shard: 1, Hits: 5, Samples: 9, Contained: 12, Theta: 500, Users: 50}, parts[1]}
+	column := GatherPartialsDegraded(append([]Partial(nil), full...), 300)
+	frontier := GatherFrontierPartials([][]Partial{{full[0]}, {full[1]}, {full[2]}})
+	if column != frontier[0] {
+		t.Fatalf("complete column %+v != frontier gather %+v", column, frontier[0])
+	}
+}
+
+// TestPrunedEstimatorCutCacheLimit: a bounded cut cache never holds more
+// than its limit and answers exactly as an unbounded one.
+func TestPrunedEstimatorCutCacheLimit(t *testing.T) {
+	g := randomGraph(200, 4, 0.05, 0.4, 11)
+	idx, _, err := BuildShard(g, shardOpts(13, 2000), 1, 0)
+	if err != nil {
+		t.Fatalf("BuildShard: %v", err)
+	}
+	bounded, unbounded := NewPrunedEstimator(idx), NewPrunedEstimator(idx)
+	bounded.SetCutCacheLimit(3)
+	posterior := []float64{0.25, 0.25, 0.25, 0.25}
+	for round := 0; round < 2; round++ {
+		for u := 0; u < g.NumVertices(); u += 7 {
+			v := graph.VertexID(u)
+			p := sampling.PosteriorProber{G: g, Posterior: posterior}
+			if a, b := bounded.EstimateProber(v, p), unbounded.EstimateProber(v, p); a != b {
+				t.Fatalf("u=%d: bounded %+v != unbounded %+v", u, a, b)
+			}
+			if len(bounded.cuts) > 3 || len(bounded.cutOrder) != len(bounded.cuts) {
+				t.Fatalf("u=%d: cache holds %d users (%d ordered), limit 3", u, len(bounded.cuts), len(bounded.cutOrder))
+			}
+		}
+	}
+}
+
 // TestRepairShardMatchesShardedRepair runs one update through both the
 // standalone RepairShard path (what a shard server executes) and the
 // in-process ShardedIndex.Repair, and checks every shard lands identical.

@@ -75,6 +75,10 @@ type RemoteEstimate struct {
 	// over the whole layout; equal when nothing is missing.
 	RespondingTheta int64
 	TotalTheta      int64
+	// EarlyStops counts the shard scans of this estimate that sequential
+	// stopping cut short (frontier scatters only; see
+	// RemoteFrontierEstimator).
+	EarlyStops int
 }
 
 // RemoteEstimator scatters one influence estimation across shard
@@ -82,6 +86,29 @@ type RemoteEstimate struct {
 // concurrent use (engine clones share one).
 type RemoteEstimator interface {
 	EstimateRemote(ctx context.Context, user int, probe RemoteProbe) (RemoteEstimate, error)
+}
+
+// RemoteStopRule is the sequential-stopping rule of one frontier batch,
+// the wire form of the explorer's stop rule: a sibling whose Hoeffding
+// upper confidence bound (confidence exp(-LogInvDelta)) cannot reach
+// Threshold may stop scanning early and report the unbiased
+// extrapolation. Each shard applies it against its θ_s/|V| share of the
+// threshold, as the in-process sharded estimators do. A negative
+// Threshold or non-positive LogInvDelta disables stopping.
+type RemoteStopRule struct {
+	Threshold   float64 `json:"threshold"`
+	LogInvDelta float64 `json:"log_inv_delta"`
+}
+
+// RemoteFrontierEstimator is an optional RemoteEstimator capability:
+// estimating every sibling tag set of one best-first expansion in a
+// single scatter. posteriors[i] is sibling i's p(z|W); result i scores
+// it, and every result carries the same MissingShards. With every shard
+// responding the results must be byte-identical to the in-process
+// sharded engine's frontier estimation under the same stop rule.
+// Remotes without it are driven one EstimateRemote per sibling.
+type RemoteFrontierEstimator interface {
+	EstimateRemoteFrontier(ctx context.Context, user int, posteriors [][]float64, stop RemoteStopRule) ([]RemoteEstimate, error)
 }
 
 // DegradedCoverage reports that a query was answered with one or more
@@ -135,8 +162,7 @@ func NewRemoteEngine(net *Network, model *TagModel, opts Options, remote RemoteE
 		probe:     sampling.NewProbeCache(net.g.NumEdges()),
 	}
 	en.est = en.newEstimator()
-	en.explorer = bestfirst.NewExplorer(net.g, model.m, en.est)
-	en.explorer.CheapBounds = opts.CheapBounds
+	en.explorer = en.newExplorer()
 	return en, nil
 }
 
@@ -175,13 +201,17 @@ func RepairSeed(seed, generation uint64) uint64 {
 }
 
 // remoteAdapter bridges the best-first explorer to a RemoteEstimator: it
-// is the engine's bestfirst.Estimator for remote engines, serializing
-// each prober and accumulating degradation evidence across the many
-// estimations of one query. Like every estimator it is per-engine scratch
-// state — not safe for concurrent use, reset by begin() per query.
+// is the engine's bestfirst.FrontierEstimator for remote engines,
+// serializing each prober or frontier batch and accumulating degradation
+// evidence across the many estimations of one query. Like every
+// estimator it is per-engine scratch state — not safe for concurrent
+// use, reset by begin() per query.
 type remoteAdapter struct {
 	en     *Engine
 	remote RemoteEstimator
+	// frontier is remote's batch capability; nil means one EstimateRemote
+	// per frontier sibling.
+	frontier RemoteFrontierEstimator
 
 	//pitexlint:allow ctxflow -- query-scoped: begin() stores the caller's ctx, finish() clears it; never outlives a query
 	ctx       context.Context
@@ -189,6 +219,15 @@ type remoteAdapter struct {
 	missing   map[int]bool
 	respTheta int64
 	totTheta  int64
+	// earlyStops is a lifetime counter (like every estimator's WorkStats);
+	// the engine diffs snapshots around a query.
+	earlyStops int64
+}
+
+func newRemoteAdapter(en *Engine, remote RemoteEstimator) *remoteAdapter {
+	ra := &remoteAdapter{en: en, remote: remote}
+	ra.frontier, _ = remote.(RemoteFrontierEstimator)
+	return ra
 }
 
 func (ra *remoteAdapter) begin(ctx context.Context) {
@@ -202,6 +241,7 @@ func (ra *remoteAdapter) begin(ctx context.Context) {
 // finish returns the degradation report for the query just run (nil when
 // every scatter was complete), or the first remote error.
 func (ra *remoteAdapter) finish() (*DegradedCoverage, error) {
+	ra.ctx = nil
 	if ra.err != nil {
 		return nil, ra.err
 	}
@@ -225,14 +265,24 @@ func (ra *remoteAdapter) finish() (*DegradedCoverage, error) {
 	return deg, nil
 }
 
+// WorkStats reports the early stops the shards applied to this adapter's
+// frontier scatters; the remote path attributes no other estimator work.
+func (ra *remoteAdapter) WorkStats() sampling.WorkStats {
+	return sampling.WorkStats{EarlyStops: ra.earlyStops}
+}
+
+func (ra *remoteAdapter) context() context.Context {
+	if ra.ctx == nil {
+		return context.Background()
+	}
+	return ra.ctx
+}
+
 // EstimateProber implements bestfirst.Estimator by scattering the probe.
 // After the first remote failure the adapter fast-fails every remaining
 // estimation of the query (influence 1 prunes nothing incorrectly — the
 // query is abandoned by finish anyway).
 func (ra *remoteAdapter) EstimateProber(u graph.VertexID, prober sampling.EdgeProber) sampling.Result {
-	if ra.err != nil {
-		return sampling.Result{Influence: 1}
-	}
 	var probe RemoteProbe
 	switch p := prober.(type) {
 	case sampling.PosteriorProber:
@@ -240,18 +290,62 @@ func (ra *remoteAdapter) EstimateProber(u graph.VertexID, prober sampling.EdgePr
 	case bestfirst.Prober:
 		probe.BoundSupported, probe.BoundWeights = p.Spec()
 	default:
-		ra.err = fmt.Errorf("pitex: prober %T is not remotable", prober)
+		if ra.err == nil {
+			ra.err = fmt.Errorf("pitex: prober %T is not remotable", prober)
+		}
+	}
+	return ra.estimate(u, probe)
+}
+
+// estimate runs one single-probe scatter.
+func (ra *remoteAdapter) estimate(u graph.VertexID, probe RemoteProbe) sampling.Result {
+	if ra.err != nil {
 		return sampling.Result{Influence: 1}
 	}
-	ctx := ra.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	est, err := ra.remote.EstimateRemote(ctx, int(u), probe)
+	est, err := ra.remote.EstimateRemote(ra.context(), int(u), probe)
 	if err != nil {
 		ra.err = err
 		return sampling.Result{Influence: 1}
 	}
+	return ra.note(est)
+}
+
+// EstimateFrontier implements bestfirst.FrontierEstimator: the whole
+// batch and its stop rule cross the wire as one scatter when the remote
+// is a RemoteFrontierEstimator, otherwise each sibling is scattered on
+// its own (the stop rule is then unused, which the contract allows).
+func (ra *remoteAdapter) EstimateFrontier(u graph.VertexID, posteriors [][]float64, stop sampling.StopRule) []sampling.Result {
+	out := make([]sampling.Result, len(posteriors))
+	if ra.frontier == nil {
+		for i, p := range posteriors {
+			out[i] = ra.estimate(u, RemoteProbe{Posterior: p})
+		}
+		return out
+	}
+	if ra.err == nil {
+		ests, err := ra.frontier.EstimateRemoteFrontier(ra.context(), int(u), posteriors,
+			RemoteStopRule{Threshold: stop.Threshold, LogInvDelta: stop.LogInvDelta})
+		switch {
+		case err != nil:
+			ra.err = err
+		case len(ests) != len(posteriors):
+			ra.err = fmt.Errorf("pitex: remote frontier returned %d estimates for %d siblings", len(ests), len(posteriors))
+		default:
+			for i, est := range ests {
+				out[i] = ra.note(est)
+			}
+			return out
+		}
+	}
+	for i := range out {
+		out[i] = sampling.Result{Influence: 1}
+	}
+	return out
+}
+
+// note folds one estimate's degradation evidence and early stops into
+// the query's running totals and converts it to an explorer result.
+func (ra *remoteAdapter) note(est RemoteEstimate) sampling.Result {
 	if len(est.MissingShards) > 0 {
 		if ra.missing == nil {
 			ra.missing = make(map[int]bool)
@@ -267,6 +361,7 @@ func (ra *remoteAdapter) EstimateProber(u graph.VertexID, prober sampling.EdgePr
 	if est.TotalTheta > ra.totTheta {
 		ra.totTheta = est.TotalTheta
 	}
+	ra.earlyStops += int64(est.EarlyStops)
 	return sampling.Result{
 		Influence: est.Influence,
 		Samples:   est.Samples,

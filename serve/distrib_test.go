@@ -15,7 +15,9 @@ import (
 )
 
 // startFig2ShardServer launches one in-process shard server owning shard
-// s of an S-way Fig. 2 layout.
+// s of an S-way Fig. 2 layout and waits until it is built. (Dial only
+// waits for one ready replica per group; a sibling still building would
+// refuse the first update fan-out and start a test lagging.)
 func startFig2ShardServer(t *testing.T, s, total int) (*ShardServer, *httptest.Server) {
 	t.Helper()
 	net, model := fig2NetModel(t)
@@ -24,6 +26,11 @@ func startFig2ShardServer(t *testing.T, s, total int) (*ShardServer, *httptest.S
 	})
 	if err != nil {
 		t.Fatalf("NewShardServer(%d): %v", s, err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := ss.WaitReady(ctx); err != nil {
+		t.Fatalf("WaitReady(%d): %v", s, err)
 	}
 	ts := httptest.NewServer(ss.Handler())
 	t.Cleanup(ts.Close)

@@ -193,6 +193,14 @@ func NewCoordinator(en *pitex.Engine, client *distrib.Client, opts pitex.ServeOp
 	if client == nil {
 		return nil, fmt.Errorf("serve: nil distrib client")
 	}
+	// A fleet built for another strategy either cannot scatter at all
+	// (DELAYEST shards answer estimates with 501) or does not follow the
+	// engine's estimation contract; refuse it here rather than per query.
+	if en != nil {
+		if got, want := client.Strategy(), en.Strategy().String(); got != want {
+			return nil, fmt.Errorf("serve: shard servers run strategy %s, coordinator engine uses %s", got, want)
+		}
+	}
 	s, err := New(en, opts)
 	if err != nil {
 		return nil, err

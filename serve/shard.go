@@ -17,6 +17,7 @@ import (
 	"pitex/internal/faultinject"
 	"pitex/internal/graph"
 	"pitex/internal/rrindex"
+	"pitex/internal/sampling"
 	"pitex/obsv"
 )
 
@@ -70,6 +71,8 @@ type shardState struct {
 	delays     map[int]*rrindex.DelayMat
 	users      map[int]int // shard id -> |V_s|
 	prev       *shardState
+	// pool recycles estimators over this generation's indexes.
+	pool *estimatorPool
 }
 
 // ShardServer serves a slice of the distributed RR-index over the
@@ -173,12 +176,7 @@ func (ss *ShardServer) registerMetrics() {
 
 func (ss *ShardServer) build(net *pitex.Network) {
 	defer close(ss.ready)
-	st := &shardState{
-		net:     net,
-		indexes: make(map[int]*rrindex.Index),
-		delays:  make(map[int]*rrindex.DelayMat),
-		users:   make(map[int]int),
-	}
+	st := ss.newState(net, 0)
 	for _, s := range ss.cfg.Owned {
 		var users int
 		var err error
@@ -283,14 +281,15 @@ func (ss *ShardServer) stateFor(gen uint64, hasGen bool) (*shardState, error) {
 
 // Handler returns the shard-server HTTP surface:
 //
-//	POST /shard/estimate  — partial hits for one serialized prober
-//	GET  /shard/info      — layout metadata + readiness
-//	GET  /shard/counters  — per-shard counter rows for one user
-//	POST /shard/update    — generation-keyed incremental repair
-//	GET  /shard/resync    — full-state snapshot (anti-entropy source)
-//	POST /shard/resync    — install a snapshot taken from a replica
-//	GET  /healthz         — process liveness
-//	GET  /readyz          — serving readiness (shards built)
+//	POST /shard/estimate           — partial hits for one serialized prober
+//	POST /shard/estimate-frontier  — PartialFrontier rows for a frontier batch
+//	GET  /shard/info               — layout metadata + readiness
+//	GET  /shard/counters           — per-shard counter rows for one user
+//	POST /shard/update             — generation-keyed incremental repair
+//	GET  /shard/resync             — full-state snapshot (anti-entropy source)
+//	POST /shard/resync             — install a snapshot taken from a replica
+//	GET  /healthz                  — process liveness
+//	GET  /readyz                   — serving readiness (shards built)
 //	GET  /statsz
 //
 // Like the coordinator's /admin endpoints, /shard/update carries no
@@ -298,6 +297,7 @@ func (ss *ShardServer) stateFor(gen uint64, hasGen bool) (*shardState, error) {
 func (ss *ShardServer) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /shard/estimate", ss.handleEstimate)
+	mux.HandleFunc("POST /shard/estimate-frontier", ss.handleEstimateFrontier)
 	mux.HandleFunc("GET /shard/info", ss.handleInfo)
 	mux.HandleFunc("GET /shard/counters", ss.handleCounters)
 	mux.HandleFunc("POST /shard/update", ss.handleUpdate)
@@ -315,12 +315,179 @@ func (ss *ShardServer) observe(endpoint string, start time.Time) {
 	ss.metrics.Observe(endpoint+"/"+ss.strategy.String(), time.Since(start))
 }
 
-// maxEstimateBody bounds /shard/estimate bodies (posteriors are one
-// float per topic; 4 MiB covers hundreds of thousands of topics).
+// maxEstimateBody bounds /shard/estimate and /shard/estimate-frontier
+// bodies (posteriors are one float per topic; 4 MiB covers a frontier of
+// hundreds of siblings over thousands of topics).
 const maxEstimateBody = 4 << 20
 
+// shardCutCacheUsers bounds each pooled IndexEst+ estimator's per-user
+// cut cache. One query sends every frontier batch for the same user, so
+// a small cache already serves the reuse that matters; the bound keeps a
+// long-lived server's memory flat under a uniform user stream.
+const shardCutCacheUsers = 32
+
+// shardEstimator is the scatter side of one owned shard: both rrindex
+// estimator families implement it.
+type shardEstimator interface {
+	Partial(shard, users int, u graph.VertexID, prober sampling.EdgeProber) rrindex.Partial
+	PartialFrontier(shard, users, totalUsers int, u graph.VertexID, posteriors [][]float64, stop sampling.StopRule) []rrindex.Partial
+}
+
+// estimatorSet holds one estimator per owned shard (parallel to
+// ShardConfig.Owned), plus the user it last served.
+type estimatorSet struct {
+	ests     []shardEstimator
+	lastUser int
+}
+
+// estimatorPool recycles estimator sets across the requests of one
+// generation, so per-user cut indexes and probe scratch survive between
+// RPCs instead of being rebuilt by every call. It keeps at most Workers
+// idle sets — admission never runs more estimations at once — and
+// belongs to one shardState: a generation swap drops its estimators.
+type estimatorPool struct {
+	mu    sync.Mutex
+	free  []*estimatorSet
+	limit int
+}
+
+// get returns an idle set, preferring one that last served user (its
+// cuts are warm), or builds a new one over st.
+func (p *estimatorPool) get(ss *ShardServer, st *shardState, user int) *estimatorSet {
+	p.mu.Lock()
+	pick := len(p.free) - 1
+	for i, set := range p.free {
+		if set.lastUser == user {
+			pick = i
+			break
+		}
+	}
+	if pick >= 0 {
+		set := p.free[pick]
+		p.free = slices.Delete(p.free, pick, pick+1)
+		p.mu.Unlock()
+		return set
+	}
+	p.mu.Unlock()
+	set := &estimatorSet{lastUser: -1}
+	for _, s := range ss.cfg.Owned {
+		if ss.strategy == pitex.StrategyIndexPruned {
+			pe := rrindex.NewPrunedEstimator(st.indexes[s])
+			pe.SetCutCacheLimit(shardCutCacheUsers)
+			set.ests = append(set.ests, pe)
+		} else {
+			set.ests = append(set.ests, rrindex.NewEstimator(st.indexes[s]))
+		}
+	}
+	return set
+}
+
+// put returns a set to the pool, dropping it when the pool is full.
+func (p *estimatorPool) put(set *estimatorSet, user int) {
+	set.lastUser = user
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.free) < p.limit {
+		p.free = append(p.free, set)
+	}
+}
+
+// newState returns an empty serving state with a fresh estimator pool.
+func (ss *ShardServer) newState(net *pitex.Network, generation uint64) *shardState {
+	return &shardState{
+		net:        net,
+		generation: generation,
+		indexes:    make(map[int]*rrindex.Index),
+		delays:     make(map[int]*rrindex.DelayMat),
+		users:      make(map[int]int),
+		pool:       &estimatorPool{limit: ss.cfg.Workers},
+	}
+}
+
+// retire returns the double-buffered copy of st kept behind its
+// successor: no further predecessor, and a fresh pool, so the estimators
+// built over st's indexes are dropped with the swap.
+func (ss *ShardServer) retire(st *shardState) *shardState {
+	prev := *st
+	prev.prev = nil
+	prev.pool = &estimatorPool{limit: ss.cfg.Workers}
+	return &prev
+}
+
+// estimateJob is one decoded estimate request as serveEstimate drives it.
+type estimateJob interface {
+	// wire returns the request struct the body decodes into.
+	wire() any
+	// target returns the requested user and generation.
+	target() (user int, generation uint64)
+	// prepare validates the request against the resolved serving state.
+	prepare(st *shardState) error
+	// run computes the response body with one pooled estimator set.
+	run(ss *ShardServer, st *shardState, set *estimatorSet) any
+}
+
+// probeJob is POST /shard/estimate: one serialized prober.
+type probeJob struct {
+	req    distrib.EstimateRequest
+	prober sampling.EdgeProber
+}
+
+func (j *probeJob) wire() any { return &j.req }
+
+func (j *probeJob) target() (int, uint64) { return j.req.User, j.req.Generation }
+
+func (j *probeJob) prepare(st *shardState) (err error) {
+	j.prober, err = j.req.Probe.Prober(st.net.Graph())
+	return err
+}
+
+func (j *probeJob) run(ss *ShardServer, st *shardState, set *estimatorSet) any {
+	resp := distrib.EstimateResponse{Generation: st.generation}
+	for i, s := range ss.cfg.Owned {
+		resp.Partials = append(resp.Partials,
+			set.ests[i].Partial(s, st.users[s], graph.VertexID(j.req.User), j.prober))
+	}
+	return resp
+}
+
+// frontierJob is POST /shard/estimate-frontier: every sibling posterior
+// of one frontier expansion plus its stop rule.
+type frontierJob struct {
+	req       distrib.FrontierRequest
+	numTopics int
+}
+
+func (j *frontierJob) wire() any { return &j.req }
+
+func (j *frontierJob) target() (int, uint64) { return j.req.User, j.req.Generation }
+
+func (j *frontierJob) prepare(*shardState) error { return j.req.Validate(j.numTopics) }
+
+func (j *frontierJob) run(ss *ShardServer, st *shardState, set *estimatorSet) any {
+	stop := sampling.StopRule{Threshold: j.req.Stop.Threshold, LogInvDelta: j.req.Stop.LogInvDelta}
+	resp := distrib.FrontierResponse{Generation: st.generation}
+	for i, s := range ss.cfg.Owned {
+		resp.Rows = append(resp.Rows, set.ests[i].PartialFrontier(s, st.users[s], st.net.NumUsers(),
+			graph.VertexID(j.req.User), j.req.Posteriors, stop))
+	}
+	return resp
+}
+
 func (ss *ShardServer) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	defer ss.observe("shard-estimate", time.Now())
+	ss.serveEstimate(w, r, "shard-estimate", &probeJob{})
+}
+
+func (ss *ShardServer) handleEstimateFrontier(w http.ResponseWriter, r *http.Request) {
+	ss.serveEstimate(w, r, "shard-estimate-frontier", &frontierJob{numTopics: ss.model.NumTopics()})
+}
+
+// serveEstimate is the pipeline both estimate endpoints share: drain,
+// fault and strategy checks, trace join, decode, generation and user
+// resolution, deadline-budget shedding, admission, then the job itself
+// on a pooled estimator set under panic recovery. name labels the
+// endpoint's latency histogram and trace.
+func (ss *ShardServer) serveEstimate(w http.ResponseWriter, r *http.Request, name string, job estimateJob) {
+	defer ss.observe(name, time.Now())
 	if ss.refuseClosed(w) {
 		return
 	}
@@ -338,25 +505,24 @@ func (ss *ShardServer) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	// this server's /tracez correlates with the coordinator's span tree;
 	// un-headered requests get a local trace.
 	tid, _, _ := obsv.ParseTraceHeader(r.Header.Get(obsv.TraceHeader))
-	str := ss.tracer.Join(tid, "shard-estimate")
+	str := ss.tracer.Join(tid, name)
 	defer str.Finish()
-	var req distrib.EstimateRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEstimateBody))
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(job.wire()); err != nil {
 		httpError(w, fmt.Errorf("bad estimate body: %w", err))
 		return
 	}
-	st, err := ss.stateFor(req.Generation, true)
+	user, gen := job.target()
+	st, err := ss.stateFor(gen, true)
 	if err != nil {
 		writeShardError(w, http.StatusConflict, err)
 		return
 	}
-	if req.User < 0 || req.User >= st.net.NumUsers() {
-		httpError(w, fmt.Errorf("user %d outside [0,%d)", req.User, st.net.NumUsers()))
+	if user < 0 || user >= st.net.NumUsers() {
+		httpError(w, fmt.Errorf("user %d outside [0,%d)", user, st.net.NumUsers()))
 		return
 	}
-	prober, err := req.Probe.Prober(st.net.Graph())
-	if err != nil {
+	if err := job.prepare(st); err != nil {
 		httpError(w, err)
 		return
 	}
@@ -369,7 +535,7 @@ func (ss *ShardServer) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		n, perr := strconv.ParseInt(ms, 10, 64)
 		if perr == nil && n > 0 {
 			budget := time.Duration(n) * time.Millisecond
-			if p50, ok := ss.metrics.P50("shard-estimate/" + ss.strategy.String()); ok && budget < p50 {
+			if p50, ok := ss.metrics.P50(name + "/" + ss.strategy.String()); ok && budget < p50 {
 				httpError(w, fmt.Errorf("%w (%v budget, p50 %v)", ErrDeadlineBudget, budget, p50))
 				return
 			}
@@ -388,23 +554,18 @@ func (ss *ShardServer) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	psp := str.StartSpan("partials")
-	psp.SetAttr("user", req.User)
+	psp.SetAttr("user", user)
 	psp.SetAttr("generation", st.generation)
 	psp.SetAttr("owned", len(ss.cfg.Owned))
 	defer psp.End()
-	pruned := ss.strategy == pitex.StrategyIndexPruned
-	resp := distrib.EstimateResponse{Generation: st.generation}
+	var resp any
 	err = func() (qret error) {
 		defer ss.recoverPanic("estimate", &qret)
-		for _, s := range ss.cfg.Owned {
-			var p rrindex.Partial
-			if pruned {
-				p = rrindex.NewPrunedEstimator(st.indexes[s]).Partial(s, st.users[s], graph.VertexID(req.User), prober)
-			} else {
-				p = rrindex.NewEstimator(st.indexes[s]).Partial(s, st.users[s], graph.VertexID(req.User), prober)
-			}
-			resp.Partials = append(resp.Partials, p)
-		}
+		set := st.pool.get(ss, st, user)
+		resp = job.run(ss, st, set)
+		// A set whose run panicked may hold torn scratch; only a clean
+		// run goes back to the pool.
+		st.pool.put(set, user)
 		return nil
 	}()
 	if err != nil {
@@ -565,13 +726,7 @@ func (ss *ShardServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	bo := ss.buildOpts
 	bo.Seed = pitex.RepairSeed(ss.baseSeed, req.Generation)
-	next := &shardState{
-		net:        newNet,
-		generation: req.Generation,
-		indexes:    make(map[int]*rrindex.Index),
-		delays:     make(map[int]*rrindex.DelayMat),
-		users:      make(map[int]int),
-	}
+	next := ss.newState(newNet, req.Generation)
 	resp := distrib.UpdateResponse{Generation: req.Generation}
 	for _, s := range ss.cfg.Owned {
 		var rs rrindex.RepairStats
@@ -599,9 +754,7 @@ func (ss *ShardServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// Double-buffer exactly one generation back: queries in flight across
 	// the coordinator's swap window still resolve, without growing an
 	// unbounded chain.
-	prev := *st
-	prev.prev = nil
-	next.prev = &prev
+	next.prev = ss.retire(st)
 	ss.state.Store(next)
 	resp.ElapsedNs = int64(time.Since(start))
 	writeJSON(w, resp)
@@ -705,13 +858,7 @@ func (ss *ShardServer) handleResyncPost(w http.ResponseWriter, r *http.Request) 
 		httpError(w, fmt.Errorf("bad snapshot network: %w", err))
 		return
 	}
-	next := &shardState{
-		net:        net,
-		generation: snap.Generation,
-		indexes:    make(map[int]*rrindex.Index),
-		delays:     make(map[int]*rrindex.DelayMat),
-		users:      make(map[int]int),
-	}
+	next := ss.newState(net, snap.Generation)
 	for _, sh := range snap.Shards {
 		if !slices.Contains(ss.cfg.Owned, sh.Shard) {
 			writeShardError(w, http.StatusConflict,
@@ -741,9 +888,7 @@ func (ss *ShardServer) handleResyncPost(w http.ResponseWriter, r *http.Request) 
 	}
 	// Keep the pre-resync state double-buffered, mirroring handleUpdate:
 	// queries stamped with the old generation finish across the swap.
-	prev := *st
-	prev.prev = nil
-	next.prev = &prev
+	next.prev = ss.retire(st)
 	ss.state.Store(next)
 	writeJSON(w, distrib.ResyncResponse{Generation: snap.Generation})
 }
